@@ -16,7 +16,6 @@ import (
 	"buanalysis/internal/chain"
 	"buanalysis/internal/core"
 	"buanalysis/internal/countermeasure"
-	"buanalysis/internal/difficulty"
 	"buanalysis/internal/games"
 	"buanalysis/internal/ledger"
 	"buanalysis/internal/mdp"
@@ -537,19 +536,6 @@ func BenchmarkMempoolAssemble(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := pool.Assemble(64 << 10); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkDifficultyRetarget measures a full retarget computation.
-func BenchmarkDifficultyRetarget(b *testing.B) {
-	cur, err := difficulty.FromDifficulty(1e12)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		if _, err := difficulty.Retarget(cur, 1000000); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -337,6 +337,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"# TYPE buserve_request_seconds histogram",
 		`buserve_request_seconds_bucket{endpoint="GET /solve",le="+Inf"} 2`,
 		"# TYPE mdp_solves_total counter",
+		"# TYPE mdp_stationary_sweeps_total counter",
 		"buserve_uptime_seconds",
 	} {
 		if !strings.Contains(text, want) {
@@ -346,6 +347,10 @@ func TestMetricsEndpoint(t *testing.T) {
 	// The solve above ran real solver sweeps, so mdp counters moved.
 	if strings.Contains(text, "mdp_solves_total 0\n") {
 		t.Error("mdp_solves_total still 0 after a served solve")
+	}
+	// Its fork rate came from the stationary pass.
+	if strings.Contains(text, "mdp_stationary_sweeps_total 0\n") {
+		t.Error("mdp_stationary_sweeps_total still 0 after a served solve")
 	}
 }
 

@@ -3,10 +3,12 @@ package bitcoin
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"buanalysis/internal/mdp"
+	"buanalysis/internal/obs"
 )
 
 func solve(t *testing.T, p Params) Result {
@@ -230,5 +232,35 @@ func TestEyalSirerKnownValues(t *testing.T) {
 	// At gamma=1 any alpha profits: revenue strictly above alpha.
 	if got := EyalSirerRevenue(0.1, 1); got <= 0.1 {
 		t.Errorf("EyalSirer(0.1, 1) = %.6f, want > 0.1", got)
+	}
+}
+
+// TestPolicyRatioAttainsOptimum evaluates the optimal selfish-mining
+// policy independently of the ratio search, through its stationary
+// distribution. Under these policies the base state 0 is never
+// revisited (stationary mass 0), so the stationary pass's first
+// regeneration cycle cannot drain and it restarts from a recurrent
+// state.
+func TestPolicyRatioAttainsOptimum(t *testing.T) {
+	a, err := New(Params{Alpha: 0.25, TieWinProb: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := a.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var done obs.Event
+	opts := mdp.Options{Tracer: obs.TracerFunc(func(e obs.Event) { done = e })}
+	got, err := a.Model.PolicyRatio(res.Policy, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("stationary pass: %d sweeps, %s", done.Iter, done.Detail)
+	if math.Abs(got-res.Utility) > 1e-4 {
+		t.Errorf("policy ratio %.6f, solved optimum %.6f", got, res.Utility)
+	}
+	if !strings.HasSuffix(done.Detail, " restart") {
+		t.Errorf("stationary pass detail %q, want a restart after state 0", done.Detail)
 	}
 }

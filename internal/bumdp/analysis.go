@@ -149,9 +149,10 @@ type SolveOptions struct {
 	// See mdp.Options.NoElimination.
 	NoElimination bool `json:",omitempty"`
 	// Tracer, if non-nil, receives the solve's convergence events:
-	// "ratio.probe"/"ratio.bracket"/"ratio.done" from the bisection and
-	// "solver.iter"/"solver.done" from every inner sweep (including the
-	// fork-rate policy evaluation). Tracing never changes results.
+	// "ratio.probe"/"ratio.bracket"/"ratio.done" from the bisection,
+	// "solver.iter"/"solver.done" from every inner sweep, and one
+	// "solver.done" with Solver "stationary" from the fork-rate pass.
+	// Tracing never changes results.
 	Tracer obs.Tracer
 }
 

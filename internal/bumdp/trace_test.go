@@ -12,8 +12,9 @@ import (
 // compliant model): tracing must not perturb the solve in any way, the
 // per-iteration residual series must be eventually non-increasing
 // within each operator (the span seminorm of each operator contracts
-// once the aperiodicity transform takes hold), and every solve's final
-// residual must sit below the configured epsilon.
+// once the aperiodicity transform takes hold), every solve's final
+// residual must sit below the configured epsilon, and the fork-rate
+// pass must close the stream with exactly one "stationary" solver.done.
 func TestConvergenceTraceGolden(t *testing.T) {
 	beta, gamma := ratioParams(0.25, 1, 1)
 	p := Params{Alpha: 0.25, Beta: beta, Gamma: gamma, Setting: Setting1, Model: Compliant}
@@ -69,8 +70,22 @@ func TestConvergenceTraceGolden(t *testing.T) {
 	// non-increasing, ending below epsilon.
 	var series [][]obs.Event
 	var cur []obs.Event
-	probes, dones, brackets := 0, 0, 0
-	for _, e := range events {
+	probes, dones, brackets, stationary := 0, 0, 0, 0
+	for i, e := range events {
+		switch {
+		case e.Kind == "solver.done" && e.Solver == "stationary":
+			// The fork-rate pass reports once, after the ratio search,
+			// with no per-sweep events: its sweep count, its final L1
+			// step and its regeneration state.
+			stationary++
+			if i != len(events)-1 || len(cur) != 0 {
+				t.Errorf("stationary solver.done at event %d of %d, want last", i+1, len(events))
+			}
+			if e.Iter < 2 || e.Residual <= 0 || e.Residual >= opts.Epsilon || e.Detail != "regen=0" {
+				t.Errorf("stationary solver.done = %+v, want >= 2 sweeps, 0 < residual < %g, regen=0", e, opts.Epsilon)
+			}
+			continue
+		}
 		switch e.Kind {
 		case "solver.iter":
 			cur = append(cur, e)
@@ -96,6 +111,9 @@ func TestConvergenceTraceGolden(t *testing.T) {
 	}
 	if dones == 0 {
 		t.Fatal("no completed solver traces captured")
+	}
+	if stationary != 1 {
+		t.Errorf("stationary solver.done events = %d, want 1 (the fork-rate pass)", stationary)
 	}
 	if probes != plain.Probes {
 		t.Errorf("ratio.probe events = %d, want %d (solve's probe count)", probes, plain.Probes)

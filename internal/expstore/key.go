@@ -30,7 +30,11 @@ import (
 // Version 2: the average-reward solver gained modified policy iteration
 // and action elimination, which change iteration paths and therefore
 // the exact bits of converged values (still within Epsilon).
-const Version = 2
+//
+// Version 3: the stationary pass behind fork rates starts from one
+// regeneration cycle instead of the uniform vector, which moves stored
+// fork_rate values by about 1e-10.
+const Version = 3
 
 // Key derives the canonical cache key for an artifact of the given kind
 // (a short lowercase tag such as "busolve") from its parameter value.

@@ -15,6 +15,8 @@ import (
 	"buanalysis/internal/expstore"
 	"buanalysis/internal/farm"
 	"buanalysis/internal/jobqueue"
+	"buanalysis/internal/mdp"
+	"buanalysis/internal/obs"
 	"buanalysis/internal/verify"
 )
 
@@ -169,13 +171,26 @@ func sweepWallClock(t *testing.T, workers int) float64 {
 	return elapsed
 }
 
-// measureVerifyCost times one compliant BU solve and the validity
-// predicate over its artifact (best-of-n for both, to shed scheduler
-// noise). The predicate's dominant cost is the loose certified
-// re-solve, which must stay a small fraction of the tight solve it
-// guards — that asymmetry is what makes always-on verification free in
-// practice.
-func measureVerifyCost(t *testing.T) (solveNs, verifyNs float64) {
+// verifyCost is the validity predicate's cost next to the solve it
+// checks, in wall clock (best of n, to shed scheduler noise) and in
+// sweep-equivalents: OptSweeps + EvalSweeps/3, the measure
+// BENCH_solver.json uses (an evaluation sweep costs about a third of an
+// optimizing one). Sweep counts are deterministic, so they do not move
+// with machine load the way the wall-clock ratio does.
+type verifyCost struct {
+	solveNs, verifyNs         float64
+	solveSweeps, verifySweeps float64
+}
+
+// measureVerifyCost solves one compliant BU cell and runs the validity
+// predicate over its artifact. The predicate's dominant cost is the
+// loose certified re-solve, which must stay a small fraction of the
+// tight solve it guards — that asymmetry is what makes always-on
+// verification free in practice. The solve's sweeps are the ones its
+// record reports; the predicate's are read off the solver's sweep
+// counters around one check. Neither side counts the stationary pass
+// behind the solve's fork rate.
+func measureVerifyCost(t *testing.T) verifyCost {
 	t.Helper()
 	// A production-scale instance at production tolerances (zero options
 	// = RatioTol 1e-5, Epsilon 1e-9): the bound is about real artifacts,
@@ -187,6 +202,7 @@ func measureVerifyCost(t *testing.T) (solveNs, verifyNs float64) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var c verifyCost
 	var blob []byte
 	for i := 0; i < 2; i++ {
 		start := time.Now()
@@ -194,35 +210,56 @@ func measureVerifyCost(t *testing.T) (solveNs, verifyNs float64) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ns := float64(time.Since(start).Nanoseconds()); solveNs == 0 || ns < solveNs {
-			solveNs = ns
+		if ns := float64(time.Since(start).Nanoseconds()); c.solveNs == 0 || ns < c.solveNs {
+			c.solveNs = ns
 		}
 		blob = b
 	}
+	var rec expstore.BUSolveRecord
+	if err := json.Unmarshal(blob, &rec); err != nil {
+		t.Fatal(err)
+	}
+	c.solveSweeps = sweepEquiv(int64(rec.Stats.OptSweeps), int64(rec.Stats.EvalSweeps))
+
+	reg := obs.NewRegistry()
+	mdp.Observe(reg)
+	defer mdp.Observe(nil)
+	sweeps, evals := reg.Counter("mdp_sweeps_total", ""), reg.Counter("mdp_eval_sweeps_total", "")
 	for i := 0; i < 5; i++ {
+		all, eval := sweeps.Value(), evals.Value()
 		start := time.Now()
 		if err := verify.Artifact(job.Kind, job.ID, job.Spec, blob); err != nil {
 			t.Fatal(err)
 		}
-		if ns := float64(time.Since(start).Nanoseconds()); verifyNs == 0 || ns < verifyNs {
-			verifyNs = ns
+		if ns := float64(time.Since(start).Nanoseconds()); c.verifyNs == 0 || ns < c.verifyNs {
+			c.verifyNs = ns
 		}
+		eval = evals.Value() - eval
+		c.verifySweeps = sweepEquiv(sweeps.Value()-all-eval, eval)
 	}
-	return solveNs, verifyNs
+	return c
 }
+
+func sweepEquiv(opt, eval int64) float64 { return float64(opt) + float64(eval)/3 }
 
 // TestVerifyCostBound pins the acceptance bound on the validity
 // predicate: verifying a compliant BU solve artifact must cost under 5%
-// of producing it.
+// of producing it, in sweep-equivalents. The wall-clock ratio is logged
+// (and recorded as BENCH_jobqueue.json's verify_cost_ratio) but not
+// asserted: under a loaded machine it swings by whole percents.
 func TestVerifyCostBound(t *testing.T) {
 	if testing.Short() {
-		t.Skip("timing-sensitive")
+		t.Skip("solves a production-scale cell")
 	}
-	solveNs, verifyNs := measureVerifyCost(t)
-	ratio := verifyNs / solveNs
-	t.Logf("solve %.1fms, verify %.2fms, ratio %.4f", solveNs/1e6, verifyNs/1e6, ratio)
+	c := measureVerifyCost(t)
+	t.Logf("solve %.1fms, verify %.2fms, wall-clock ratio %.4f", c.solveNs/1e6, c.verifyNs/1e6, c.verifyNs/c.solveNs)
+	ratio := c.verifySweeps / c.solveSweeps
+	t.Logf("solve %.1f, verify %.1f sweep-equivalents, ratio %.4f", c.solveSweeps, c.verifySweeps, ratio)
+	if c.verifySweeps <= 0 {
+		t.Fatalf("verify counted %.1f sweep-equivalents; the solver counters saw no re-solve", c.verifySweeps)
+	}
 	if ratio >= 0.05 {
-		t.Fatalf("verify cost is %.1f%% of the solve, want < 5%%", ratio*100)
+		t.Fatalf("verify cost is %.1f%% of the solve in sweep-equivalents, want < 5%%", ratio*100)
 	}
 }
 
@@ -262,7 +299,7 @@ func TestBenchEmit(t *testing.T) {
 
 	oneWorker := sweepWallClock(t, 1)
 	threeWorkers := sweepWallClock(t, 3)
-	solveNs, verifyNs := measureVerifyCost(t)
+	cost := measureVerifyCost(t)
 
 	report := map[string]any{
 		"suite": "jobqueue",
@@ -275,9 +312,9 @@ func TestBenchEmit(t *testing.T) {
 		}(),
 		"sweep_1_worker_s":  oneWorker,
 		"sweep_3_workers_s": threeWorkers,
-		"busolve_ms":        solveNs / 1e6,
-		"verify_ms":         verifyNs / 1e6,
-		"verify_cost_ratio": verifyNs / solveNs,
+		"busolve_ms":        cost.solveNs / 1e6,
+		"verify_ms":         cost.verifyNs / 1e6,
+		"verify_cost_ratio": cost.verifyNs / cost.solveNs,
 		"sweep_speedup_x": func() float64 {
 			if threeWorkers == 0 {
 				return 0

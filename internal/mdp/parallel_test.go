@@ -196,34 +196,6 @@ func TestParallelBitIdenticalSolveRatio(t *testing.T) {
 	}
 }
 
-// TestParallelBitIdenticalStationary exercises the one sum-shaped
-// reduction (the power iteration's L1 residual) on a model larger than
-// diffBlock, so the block-aligned partial sums actually straddle
-// multiple workers.
-func TestParallelBitIdenticalStationary(t *testing.T) {
-	n := 2*diffBlock + 1000
-	if testing.Short() {
-		n = diffBlock + 500
-	}
-	rng := rand.New(rand.NewSource(8))
-	m := mustCompile(t, randomBuilder(rng, n, 2))
-	pol := make(Policy, n)
-	for s := 0; s < n; s++ {
-		pol[s] = rng.Intn(len(m.Actions(s)))
-	}
-	serial, err := m.StationaryDistribution(pol, Options{Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, par := range parallelisms(t) {
-		got, err := m.StationaryDistribution(pol, Options{Parallelism: par})
-		if err != nil {
-			t.Fatalf("Parallelism %d: %v", par, err)
-		}
-		equalFloatsBitwise(t, "stationary distribution", par, got, serial)
-	}
-}
-
 // TestCompileWorkersDeterministic: the parallel compiler produces a
 // model whose every array is identical to the serial compiler's.
 func TestCompileWorkersDeterministic(t *testing.T) {

@@ -72,7 +72,9 @@ type Options struct {
 	// Tracer, if non-nil, receives one "solver.iter" event per Bellman
 	// sweep (residual, span bounds, greedy-policy change count), a
 	// "solver.warm" event when a solve starts from a warm bias, and a
-	// "solver.done" event on convergence. Tracing never changes results:
+	// "solver.done" event on convergence (the stationary pass behind
+	// StationaryDistribution, Rates, PolicyRatio and StateVisitRate emits
+	// only its "solver.done"). Tracing never changes results:
 	// the hooks read the same quantities the solver already computes, and
 	// a nil Tracer costs nothing.
 	Tracer obs.Tracer

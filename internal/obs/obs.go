@@ -61,7 +61,12 @@ type Event struct {
 	// --- solver convergence fields ---
 
 	// Solver identifies the iterative scheme: "rvi" (relative value
-	// iteration), "policy-eval", or "vi" (discounted value iteration).
+	// iteration), "policy-eval", "vi" (discounted value iteration), or
+	// "stationary" (the stationary-distribution pass behind policy
+	// rates, which reports only its "solver.done": Iter is its sweep
+	// count and Detail its start, "regen=<state>" with " restart"
+	// appended when the first regeneration cycle did not drain, or
+	// "fallback=uniform").
 	Solver string `json:"solver,omitempty"`
 	// Iter is the 1-based Bellman sweep number within the solve.
 	Iter int `json:"iter,omitempty"`

@@ -42,6 +42,10 @@ go build ./...
 echo "== go test ${SHORT} =="
 go test ${SHORT} ./...
 
+echo "== perfbench vet + harness tests =="
+# The benchmark is a module of its own (perfbench/go.mod), outside ./...
+(cd perfbench && go vet ./... && go test ${SHORT} ./...)
+
 echo "== go test -race ${SHORT} (mdp, bumdp, core, montecarlo, expstore, obs, netsim, p2p, faultsim, invariant, fullnode, jobqueue, farm, verify) =="
 go test -race ${SHORT} ./internal/mdp/ ./internal/bumdp/ ./internal/core/ ./internal/montecarlo/ ./internal/expstore/ ./internal/obs/ ./internal/netsim/ ./internal/p2p/ ./internal/faultsim/ ./internal/invariant/ ./internal/fullnode/ ./internal/jobqueue/ ./internal/farm/ ./internal/verify/
 
@@ -127,6 +131,7 @@ echo "$METRICS" | grep -q '^buserve_requests_total{endpoint="GET /solve"} 2$'
 echo "$METRICS" | grep -q '^# TYPE mdp_solves_total counter$'
 echo "$METRICS" | grep -q '^# TYPE mdp_warm_solves_total counter$'
 echo "$METRICS" | grep -q '^# TYPE mdp_reparams_total counter$'
+echo "$METRICS" | grep -q '^# TYPE mdp_stationary_sweeps_total counter$'
 curl -fsS "http://$ADDR/debug/vars" | grep -q '"expstore_solves_total": 1'
 
 echo "== solve-farm smoke (3 workers, one killed mid-lease) =="
